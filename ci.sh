@@ -24,15 +24,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo build --release --workspace --all-targets
 cargo test -q --release --workspace
 
-# Parallel differential gate: island-parallel vs. serial execution on
-# the largest generated designs (32-lane FIR bank, 16-row NoC mesh),
-# both engines, threads 2/4/8 — traces and statistics must be
-# byte-identical (see "Island partitioning" in ARCHITECTURE.md). The
-# test is #[ignore]d because it is release-weight; this is its one
-# canonical invocation.
+# Large-design engine differential gate: the interpreter against blaze
+# on the largest generated designs (32-lane FIR bank, 16-row NoC mesh) —
+# traces, VCD output and statistics must be byte-identical. The test is
+# #[ignore]d because it is release-weight; this is its one canonical
+# invocation.
 cargo test -q --release -p llhd-designs --test differential -- \
-    --ignored --exact largest_generated_design_parallel_differential
-echo "ci.sh: parallel differential gate OK"
+    --ignored --exact largest_generated_design_engine_differential
+echo "ci.sh: large-design engine differential gate OK"
 
 # Chaos gate: the deterministic fault-injection harness (see
 # "Failure model" in ARCHITECTURE.md) storms a live server with injected
@@ -49,8 +48,8 @@ LLHD_CHAOS_SEED=42 timeout 300 \
 echo "ci.sh: chaos test OK (seed 42)"
 
 # Differential fuzz smoke gate: 80 freshly generated designs, each run
-# across the reference interpreter plus ten engine variants (interpreter
-# parallelism, every blaze knob ablation, threads 1/2/4) with
+# on the reference interpreter plus four blaze variants (full pipeline,
+# fusion off, specialization off, fully generic) with
 # constrained-random stimulus including checkpoint/restore cuts — any
 # trace/VCD/stats/peek mismatch fails the gate (see "Differential
 # fuzzing" in ARCHITECTURE.md). The fixed seed keeps CI replayable; a

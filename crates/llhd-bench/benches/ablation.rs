@@ -57,7 +57,6 @@ fn main() {
             BlazeOptions {
                 fuse: false,
                 specialize: false,
-                islands: true,
             },
         ),
         (
@@ -65,7 +64,6 @@ fn main() {
             BlazeOptions {
                 fuse: false,
                 specialize: true,
-                islands: true,
             },
         ),
         ("blaze_run_full", BlazeOptions::default()),

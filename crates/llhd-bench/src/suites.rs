@@ -142,71 +142,36 @@ pub fn simulation_suite(h: &mut Harness) {
     checkpoint_roundtrip(h);
 }
 
-/// Thread counts measured per design in the `sim-parallel/*` suite.
-/// `t1` is the serial loop (the parallel branch never engages below two
-/// threads), so `t2`/`t4` against `t1` is the intra-simulation speedup.
-const SIM_PARALLEL_THREADS: [usize; 3] = [1, 2, 4];
-
 /// Simulated cycles per iteration of the `sim-parallel/*` suite — fewer
 /// than [`SIMULATION_CYCLES`] because the generated designs are 10×–100×
 /// the base corpus and each iteration activates every island every cycle.
 const SIM_PARALLEL_CYCLES: u64 = 20;
 
-/// The intra-simulation parallelism suite: generated designs with a
-/// known island partition (see [`llhd_designs::generate`]), each run at
-/// 1/2/4 worker threads on the compiled engine (plus the interpreter on
-/// one design as a cross-engine reference). Within one design the trace
-/// is byte-identical at every thread count — the differential tests pin
-/// that down — so any delta between `t1` and `tN` is pure scheduling.
-/// Throughput is reported in simulated cycles per second.
-///
-/// Caveat for reading baselines: speedups above 1× require actual
-/// hardware parallelism. On a single-core host the `t2`/`t4` numbers
-/// measure the overhead of the parallel machinery (bucketing, scoped
-/// spawn, drive replay), not its benefit — still worth tracking, since
-/// that overhead is the cost every multi-core win has to clear.
+/// The scaled-design suite: generated designs with a known island
+/// partition (see [`llhd_designs::generate`]) on the compiled engine.
+/// Throughput is reported in simulated cycles per second. The `/t1`
+/// suffix (one thread) is kept so the series stays comparable with
+/// older baselines.
 fn sim_parallel(h: &mut Harness) {
     use llhd_designs::{fir_bank, noc_mesh};
 
-    let designs = [fir_bank(16, 32, 7), noc_mesh(8, 8, 11)];
-    for (i, design) in designs.iter().enumerate() {
-        let names: Vec<String> = SIM_PARALLEL_THREADS
-            .iter()
-            .map(|t| format!("sim-parallel/{}/t{}", design.name, t))
-            .collect();
-        let interp_name = format!("sim-parallel/{}/interp-t4", design.name);
-        let wanted =
-            names.iter().any(|n| h.wants(n)) || (i == 0 && h.wants(&interp_name));
-        if !wanted {
+    for design in [fir_bank(16, 32, 7), noc_mesh(8, 8, 11)] {
+        let name = format!("sim-parallel/{}/t1", design.name);
+        if !h.wants(&name) {
             continue;
         }
         let module = design.build().expect("generated design must build");
-        let base = SimConfig::until_nanos(design.sim_time_ns(SIM_PARALLEL_CYCLES))
-            .without_trace();
-        for (name, &threads) in names.iter().zip(&SIM_PARALLEL_THREADS) {
-            let config = base.clone().with_threads(threads);
-            h.bench_throughput(name, SIM_PARALLEL_CYCLES, || {
-                SimSession::builder(&module, &design.top)
-                    .engine(EngineKind::Compile)
-                    .config(config.clone())
-                    .build()
-                    .unwrap()
-                    .run()
-                    .unwrap()
-            });
-        }
-        if i == 0 {
-            let config = base.clone().with_threads(4);
-            h.bench_throughput(&interp_name, SIM_PARALLEL_CYCLES, || {
-                SimSession::builder(&module, &design.top)
-                    .engine(EngineKind::Interpret)
-                    .config(config.clone())
-                    .build()
-                    .unwrap()
-                    .run()
-                    .unwrap()
-            });
-        }
+        let config =
+            SimConfig::until_nanos(design.sim_time_ns(SIM_PARALLEL_CYCLES)).without_trace();
+        h.bench_throughput(&name, SIM_PARALLEL_CYCLES, || {
+            SimSession::builder(&module, &design.top)
+                .engine(EngineKind::Compile)
+                .config(config.clone())
+                .build()
+                .unwrap()
+                .run()
+                .unwrap()
+        });
     }
 }
 

@@ -85,7 +85,7 @@ impl ArgRange {
 /// let compiled = compile_design_with(
 ///     &module,
 ///     Arc::clone(&design),
-///     BlazeOptions { fuse: false, specialize: false, islands: true },
+///     BlazeOptions { fuse: false, specialize: false },
 /// )
 /// .unwrap();
 /// assert_eq!(compiled.options.fuse, false);
@@ -100,12 +100,6 @@ pub struct BlazeOptions {
     /// delays, and cross-block constant folding. With `false`, instances
     /// execute the generic per-op stream through their signal tables.
     pub specialize: bool,
-    /// Island-parallel execution: let the engine activate disjoint
-    /// sensitivity islands on worker threads when
-    /// [`SimConfig::threads`](llhd_sim::SimConfig) asks for more than one.
-    /// Purely a speed knob — traces are byte-identical either way. With
-    /// `false` the engine always runs the serial activation loop.
-    pub islands: bool,
 }
 
 impl Default for BlazeOptions {
@@ -113,7 +107,6 @@ impl Default for BlazeOptions {
         BlazeOptions {
             fuse: true,
             specialize: true,
-            islands: true,
         }
     }
 }
@@ -331,11 +324,10 @@ pub struct CompiledDesign {
     pub allow_drive_drop: bool,
     /// The lowering knobs this design was compiled with.
     pub options: BlazeOptions,
-    /// The sensitivity-island partition of the design, computed once at
-    /// compile time. Drives the engine's island-parallel instant loop and
-    /// stamps its digest into checkpoints (see
-    /// [`llhd_sim::IslandPlan`]).
-    pub island_plan: IslandPlan,
+    /// The digest of the design's sensitivity-island partition
+    /// ([`IslandPlan::hash`]), computed once at compile time and stamped
+    /// into checkpoints.
+    pub island_plan_hash: u64,
 }
 
 impl CompiledDesign {
@@ -475,14 +467,14 @@ pub fn compile_design_with(
             code,
         });
     }
-    let island_plan = IslandPlan::build(module, &design);
+    let island_plan_hash = IslandPlan::build(module, &design).hash();
     Ok(CompiledDesign {
         units,
         instances,
         design,
         allow_drive_drop,
         options,
-        island_plan,
+        island_plan_hash,
     })
 }
 

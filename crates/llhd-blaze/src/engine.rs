@@ -15,13 +15,12 @@ use llhd::eval::{
     eval_cast, eval_ext_field, eval_ext_slice, eval_ins_field, eval_ins_slice, eval_mux,
     eval_pure, eval_unary,
 };
-use llhd::bitcode::{decode_const_value, encode_const_value, read_varint, write_varint};
+use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::ir::{Opcode, RegMode, UnitId, UnitKind};
 use llhd::value::{ConstValue, TimeValue};
 use llhd_sim::api::EngineState;
 use llhd_sim::design::{InstanceKind, SignalId};
-use llhd_sim::engine::{PARALLEL_MIN_BATCH, PARALLEL_MIN_ISLAND_OPS};
-use llhd_sim::sched::{run_instant_parallel, CoreSink, SchedCore};
+use llhd_sim::sched::{read_byte, read_const, read_usize, SchedCore};
 use llhd_sim::{SimConfig, SimError, SimResult, Trace};
 use std::sync::Arc;
 
@@ -52,17 +51,14 @@ struct InstanceState {
 }
 
 /// The immutable context an activation executes against: the compiled
-/// design plus the step limit. Shared read-only across the parallel
-/// instant loop's worker threads.
+/// design plus the step limit.
 struct ExecCx<'c> {
     compiled: &'c CompiledDesign,
     max_steps: usize,
 }
 
-/// Per-worker mutable scratch: reusable hot-path buffers plus the run
-/// counters an activation may bump. Parallel instants give every worker
-/// its own, and folding is an order-independent sum, so counter totals
-/// match the serial loop exactly.
+/// Reusable hot-path buffers plus the run counters an activation may
+/// bump.
 #[derive(Default)]
 struct Scratch {
     /// Reusable wait-list buffer, so suspending performs no allocation.
@@ -81,9 +77,6 @@ pub struct BlazeSimulator {
     config: SimConfig,
     core: SchedCore,
     states: Vec<InstanceState>,
-    assertions_checked: usize,
-    assertion_failures: usize,
-    activations: usize,
     scratch: Scratch,
     initialized: bool,
     /// A failure during initialization or a step poisons the simulator:
@@ -92,13 +85,6 @@ pub struct BlazeSimulator {
     /// `initialize`/`step`.
     poisoned: Option<SimError>,
     to_run_buf: Vec<u32>,
-    /// Whether the design + config make island-parallel instants
-    /// worthwhile at all, decided once at construction.
-    parallel_ready: bool,
-    /// Set when restoring a version-1 checkpoint (predates island
-    /// plans): the engine then runs serial for the rest of its life so
-    /// the resumed run replays the path the checkpoint was taken on.
-    force_serial: bool,
 }
 
 impl BlazeSimulator {
@@ -148,23 +134,15 @@ impl BlazeSimulator {
                 }
             }
         }
-        let parallel_ready = config.threads > 1
-            && compiled.options.islands
-            && compiled.island_plan.parallel_worthy(PARALLEL_MIN_ISLAND_OPS);
         BlazeSimulator {
             compiled,
             config,
             core,
             states,
-            assertions_checked: 0,
-            assertion_failures: 0,
-            activations: 0,
             scratch: Scratch::default(),
             initialized: false,
             poisoned: None,
             to_run_buf: Vec::new(),
-            parallel_ready,
-            force_serial: false,
         }
     }
 
@@ -183,89 +161,30 @@ impl BlazeSimulator {
             };
         }
         self.initialized = true;
-        let mut result = Ok(());
-        {
-            let cx = ExecCx {
-                compiled: &self.compiled,
-                max_steps: self.config.max_steps_per_activation,
-            };
-            for idx in 0..cx.compiled.instances.len() {
-                if let Err(e) = run_instance(
-                    &cx,
-                    &mut self.states[idx],
-                    &mut self.scratch,
-                    idx,
-                    &mut self.core,
-                ) {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        self.fold_scratch();
+        let result = self.run_activations(0..self.compiled.instances.len() as u32);
         if let Err(e) = &result {
             self.poisoned = Some(e.clone());
         }
         result
     }
 
-    /// Fold the per-step [`Scratch`] counters into the run totals. Called
-    /// on every exit path of `initialize`/`step` (including errors) so
-    /// the totals stay exact.
-    fn fold_scratch(&mut self) {
-        self.activations += self.scratch.activations;
-        self.assertions_checked += self.scratch.assertions_checked;
-        self.assertion_failures += self.scratch.assertion_failures;
-        self.scratch.activations = 0;
-        self.scratch.assertions_checked = 0;
-        self.scratch.assertion_failures = 0;
-    }
-
-    /// Activate one instant's woken instances: the serial loop, or — when
-    /// the design partitions into islands and the batch is large enough —
-    /// the island-parallel loop. Both produce byte-identical core state
-    /// (see [`llhd_sim::sched::run_instant_parallel`]).
-    fn run_activations(&mut self, to_run: &[u32]) -> Result<(), SimError> {
+    /// Activate `insts` in order, stopping at the first error.
+    fn run_activations(&mut self, insts: impl IntoIterator<Item = u32>) -> Result<(), SimError> {
         let cx = ExecCx {
             compiled: &self.compiled,
             max_steps: self.config.max_steps_per_activation,
         };
-        if self.parallel_ready && !self.force_serial && to_run.len() >= PARALLEL_MIN_BATCH {
-            let parallel = run_instant_parallel(
-                &mut self.core,
-                to_run,
-                &mut self.states,
-                cx.compiled.island_plan.island_of_instances(),
-                self.config.threads,
-                Scratch::default,
-                |st, scr, inst, sink| run_instance(&cx, st, scr, inst as usize, sink),
-            );
-            if let Some(outcome) = parallel {
-                for scr in outcome.scratches {
-                    self.scratch.activations += scr.activations;
-                    self.scratch.assertions_checked += scr.assertions_checked;
-                    self.scratch.assertion_failures += scr.assertion_failures;
-                }
-                self.fold_scratch();
-                return outcome.result;
-            }
-        }
-        let mut result = Ok(());
-        for &inst in to_run {
+        for inst in insts {
             let idx = inst as usize;
-            if let Err(e) = run_instance(
+            run_instance(
                 &cx,
                 &mut self.states[idx],
                 &mut self.scratch,
                 idx,
                 &mut self.core,
-            ) {
-                result = Err(e);
-                break;
-            }
+            )?;
         }
-        self.fold_scratch();
-        result
+        Ok(())
     }
 
     /// Advance the simulation by exactly one scheduler cycle. Returns
@@ -290,7 +209,7 @@ impl BlazeSimulator {
         if let Ok(true) = outcome {
             // `to_run` is detached from `self` here, so iterating it while
             // activating instances borrows cleanly.
-            if let Err(e) = self.run_activations(&to_run) {
+            if let Err(e) = self.run_activations(to_run.iter().copied()) {
                 outcome = Err(e);
             }
         }
@@ -319,10 +238,10 @@ impl BlazeSimulator {
         SimResult {
             end_time: self.core.time(),
             signal_changes: self.core.signal_changes(),
-            assertions_checked: self.assertions_checked,
-            assertion_failures: self.assertion_failures,
+            assertions_checked: self.scratch.assertions_checked,
+            assertion_failures: self.scratch.assertion_failures,
             halted_processes: halted,
-            activations: self.activations,
+            activations: self.scratch.activations,
             trace: self.take_trace(),
         }
     }
@@ -391,13 +310,13 @@ impl BlazeSimulator {
             "blaze",
             design.num_signals(),
             design.num_instances(),
-            self.compiled.island_plan.hash(),
+            self.compiled.island_plan_hash,
             |out| {
                 self.core.snapshot(out);
                 out.push(self.initialized as u8);
-                write_varint(out, self.assertions_checked as u128);
-                write_varint(out, self.assertion_failures as u128);
-                write_varint(out, self.activations as u128);
+                write_varint(out, self.scratch.assertions_checked as u128);
+                write_varint(out, self.scratch.assertion_failures as u128);
+                write_varint(out, self.scratch.activations as u128);
                 for st in &self.states {
                     match &st.status {
                         Status::Ready => out.push(0),
@@ -439,46 +358,26 @@ impl BlazeSimulator {
     /// Returns [`SimError::Runtime`] on an engine/design mismatch or
     /// corrupt bytes.
     pub fn restore(&mut self, state: &EngineState) -> Result<(), SimError> {
-        fn truncated() -> SimError {
-            SimError::Runtime("truncated engine checkpoint".to_string())
-        }
-        fn read_usize(bytes: &[u8], pos: &mut usize) -> Result<usize, SimError> {
-            Ok(read_varint(bytes, pos).ok_or_else(truncated)? as usize)
-        }
-        fn read_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, SimError> {
-            let b = *bytes.get(*pos).ok_or_else(truncated)?;
-            *pos += 1;
-            Ok(b)
-        }
-        fn read_const(bytes: &[u8], pos: &mut usize) -> Result<ConstValue, SimError> {
-            decode_const_value(bytes, pos)
-                .map_err(|e| SimError::Runtime(format!("corrupt engine checkpoint: {}", e)))
-        }
         let design = &self.compiled.design;
         let bytes = state.as_bytes();
         let (mut pos, plan_hash) =
             state.validate("blaze", design.num_signals(), design.num_instances())?;
-        match plan_hash {
-            // Version-1 checkpoints predate island partitioning: they
-            // restore fine, but the engine stays serial for the rest of
-            // its life so cross-version runs replay the proven path.
-            None => self.force_serial = true,
-            Some(h) if h != self.compiled.island_plan.hash() => {
-                return Err(SimError::Runtime(
-                    "engine checkpoint was taken with a different island plan \
-                     (design or partitioner version mismatch)"
-                        .to_string(),
-                ));
-            }
-            Some(_) => {}
+        // Version-1 checkpoints predate island partitioning and carry no
+        // digest; they restore as-is.
+        if plan_hash.is_some_and(|h| h != self.compiled.island_plan_hash) {
+            return Err(SimError::Runtime(
+                "engine checkpoint was taken with a different island plan \
+                 (design or partitioner version mismatch)"
+                    .to_string(),
+            ));
         }
         let pos = &mut pos;
         self.core.restore_snapshot(bytes, pos)?;
         self.initialized = read_byte(bytes, pos)? != 0;
         self.poisoned = None;
-        self.assertions_checked = read_usize(bytes, pos)?;
-        self.assertion_failures = read_usize(bytes, pos)?;
-        self.activations = read_usize(bytes, pos)?;
+        self.scratch.assertions_checked = read_usize(bytes, pos)?;
+        self.scratch.assertion_failures = read_usize(bytes, pos)?;
+        self.scratch.activations = read_usize(bytes, pos)?;
         for st in &mut self.states {
             st.status = match read_byte(bytes, pos)? {
                 0 => Status::Ready,
@@ -552,27 +451,22 @@ impl BlazeSimulator {
 // Activation execution
 // ---------------------------------------------------------------------------
 //
-// The execution core is a set of free functions generic over
-// [`CoreSink`]: the serial loop instantiates them with the
-// [`SchedCore`] itself (direct mutation, same code the old methods
-// compiled to), the island-parallel loop with a
-// [`DeferredSink`](llhd_sim::sched::DeferredSink) (mutations logged and
-// replayed in serial order on the main thread). An activation touches
-// exactly three things: the immutable [`ExecCx`], its own instance's
-// [`InstanceState`], and a per-worker [`Scratch`] — which is what makes
-// handing each island's activations to a worker thread sound.
+// The execution core is a set of free functions over split borrows of
+// the simulator: the immutable [`ExecCx`], the activated instance's
+// [`InstanceState`], the [`Scratch`] buffers and counters, and the
+// [`SchedCore`].
 
-fn run_instance<S: CoreSink>(
+fn run_instance(
     cx: &ExecCx,
     st: &mut InstanceState,
     scr: &mut Scratch,
     idx: usize,
-    sink: &mut S,
+    core: &mut SchedCore,
 ) -> Result<(), SimError> {
     scr.activations += 1;
     if let Some(code) = &st.code {
         let code = Arc::clone(code);
-        return run_instance_spec(cx, st, scr, idx, &code, sink);
+        return run_instance_spec(cx, st, scr, idx, &code, core);
     }
     let unit = Arc::clone(&st.unit);
     let mut block = match &st.status {
@@ -611,7 +505,7 @@ fn run_instance<S: CoreSink>(
                 }
                 Op::Prb { dst, sig } => {
                     let signal = st.signal_table[*sig];
-                    st.regs[*dst] = sink.value(signal).clone();
+                    st.regs[*dst] = core.value(signal).clone();
                 }
                 Op::Drv {
                     sig,
@@ -627,7 +521,7 @@ fn run_instance<S: CoreSink>(
                     let signal = st.signal_table[*sig];
                     let value = st.regs[*value].clone();
                     let delay = time_reg(st, *delay)?;
-                    sink.schedule_drive(signal, value, &delay);
+                    core.schedule_drive(signal, value, &delay);
                 }
                 Op::Del {
                     target,
@@ -637,8 +531,8 @@ fn run_instance<S: CoreSink>(
                     let target = st.signal_table[*target];
                     let source = st.signal_table[*source];
                     let delay = time_reg(st, *delay)?;
-                    let value = sink.value(source).clone();
-                    sink.schedule_drive(target, value, &delay);
+                    let value = core.value(source).clone();
+                    core.schedule_drive(target, value, &delay);
                 }
                 Op::Reg { sig, triggers } => {
                     let signal = st.signal_table[*sig];
@@ -670,7 +564,7 @@ fn run_instance<S: CoreSink>(
                             }
                         }
                         let value = st.regs[trigger.value].clone();
-                        sink.schedule_drive(signal, value, &TimeValue::from_delta(1));
+                        core.schedule_drive(signal, value, &TimeValue::from_delta(1));
                     }
                 }
                 Op::Var { mem, init } => {
@@ -722,7 +616,7 @@ fn run_instance<S: CoreSink>(
                         None => None,
                     };
                     st.status = Status::Suspended { resume: *resume };
-                    sink.suspend(idx, &scr.observed, timeout.as_ref());
+                    core.suspend(idx, &scr.observed, timeout.as_ref());
                     return Ok(());
                 }
                 Op::Halt => {
@@ -769,13 +663,13 @@ fn run_instance<S: CoreSink>(
 /// Semantics — drive order, suspension, error points — mirror
 /// [`run_instance`]'s generic loop exactly; the differential and
 /// propcheck suites enforce byte-identical traces.
-fn run_instance_spec<S: CoreSink>(
+fn run_instance_spec(
     cx: &ExecCx,
     st: &mut InstanceState,
     scr: &mut Scratch,
     idx: usize,
     code: &SpecializedCode,
-    sink: &mut S,
+    core: &mut SchedCore,
 ) -> Result<(), SimError> {
     let mut block = match &st.status {
         Status::Halted => return Ok(()),
@@ -939,10 +833,10 @@ fn run_instance_spec<S: CoreSink>(
                         }
                     }
                     let delay = delay_value(st, delay)?;
-                    sink.schedule_drive(SignalId(*sig as usize), value, &delay);
+                    core.schedule_drive(SignalId(*sig as usize), value, &delay);
                 }
                 SuperOp::Prb { dst, sig } => {
-                    let value = sink.value(SignalId(*sig as usize)).clone();
+                    let value = core.value(SignalId(*sig as usize)).clone();
                     st.regs[*dst as usize] = value;
                 }
                 SuperOp::Drv {
@@ -958,7 +852,7 @@ fn run_instance_spec<S: CoreSink>(
                     }
                     let value = st.regs[*value as usize].clone();
                     let delay = delay_value(st, delay)?;
-                    sink.schedule_drive(SignalId(*sig as usize), value, &delay);
+                    core.schedule_drive(SignalId(*sig as usize), value, &delay);
                 }
                 SuperOp::Del {
                     target,
@@ -966,8 +860,8 @@ fn run_instance_spec<S: CoreSink>(
                     delay,
                 } => {
                     let delay = delay_value(st, delay)?;
-                    let value = sink.value(SignalId(*source as usize)).clone();
-                    sink.schedule_drive(SignalId(*target as usize), value, &delay);
+                    let value = core.value(SignalId(*source as usize)).clone();
+                    core.schedule_drive(SignalId(*target as usize), value, &delay);
                 }
                 SuperOp::Reg { sig, triggers } => {
                     let signal = SignalId(*sig as usize);
@@ -999,7 +893,7 @@ fn run_instance_spec<S: CoreSink>(
                             }
                         }
                         let value = st.regs[trigger.value].clone();
-                        sink.schedule_drive(signal, value, &TimeValue::from_delta(1));
+                        core.schedule_drive(signal, value, &TimeValue::from_delta(1));
                     }
                 }
                 SuperOp::Var { mem, init } => {
@@ -1053,7 +947,7 @@ fn run_instance_spec<S: CoreSink>(
                     st.status = Status::Suspended {
                         resume: *resume as usize,
                     };
-                    sink.suspend(idx, &scr.observed, timeout.as_ref());
+                    core.suspend(idx, &scr.observed, timeout.as_ref());
                     return Ok(());
                 }
                 SuperOp::Halt => {

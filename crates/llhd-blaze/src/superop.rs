@@ -1389,7 +1389,6 @@ mod tests {
             BlazeOptions {
                 fuse: false,
                 specialize: true,
-                islands: true,
             },
         );
         assert_eq!(count_ops(&unfused, |op| matches!(op, SuperOp::Sel { .. })), 0);

@@ -5,8 +5,8 @@
 //! promoted here by `fuzz --promote` after a finding was fixed, or
 //! pinned by `fuzz --pin` to lock in coverage. This test replays each
 //! one across the full differential matrix (reference interpreter vs.
-//! interpreter parallelism vs. every blaze knob combination and thread
-//! count) and fails on any divergence: once a fuzz finding lands here,
+//! every blaze knob combination) and fails on any divergence: once a
+//! fuzz finding lands here,
 //! it can never regress silently.
 
 use llhd_fuzz::{default_matrix, Artifact, CaseFailure};

@@ -14,7 +14,7 @@ use llhd::analysis::{ControlFlowGraph, TemporalRegionGraph};
 use llhd::ir::{
     Block, InstData, Opcode, RegMode, RegTrigger, UnitData, UnitKind, Value, ValueDef,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Try to desequentialize a process into an entity containing `reg`
 /// storage elements. Returns `None` if the process does not match the
@@ -162,8 +162,10 @@ fn analyse_term(
         }
     };
 
-    let mut past_samples: HashMap<Value, &Literal> = HashMap::new();
-    let mut present_samples: HashMap<Value, &Literal> = HashMap::new();
+    // Ordered maps: the gate literals are collected by iterating these,
+    // and their order is the order the gate instructions are emitted in.
+    let mut past_samples: BTreeMap<Value, &Literal> = BTreeMap::new();
+    let mut present_samples: BTreeMap<Value, &Literal> = BTreeMap::new();
     let mut others: Vec<&Literal> = vec![];
     for literal in term.literals() {
         match probe_info(literal.value) {

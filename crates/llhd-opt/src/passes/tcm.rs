@@ -11,7 +11,7 @@
 
 use llhd::analysis::{ControlFlowGraph, DominatorTree, TemporalRegion, TemporalRegionGraph};
 use llhd::ir::{Block, Inst, InstData, Opcode, UnitData, UnitKind, Value, ValueDef};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Run temporal code motion on a process. Returns `true` if anything
 /// changed.
@@ -35,7 +35,9 @@ fn ensure_single_exit_blocks(unit: &mut UnitData) -> bool {
     for region_idx in 0..trg.num_regions() {
         let region = TemporalRegion(region_idx as u32);
         // Collect branch arcs that leave the region, grouped by target block.
-        let mut arcs: HashMap<Block, Vec<Block>> = HashMap::new();
+        // Ordered by target block, so the aux blocks are created in the
+        // same order on every run.
+        let mut arcs: BTreeMap<Block, Vec<Block>> = BTreeMap::new();
         let mut has_wait_exit = false;
         for block in trg.blocks_in(unit, region) {
             let Some(term) = unit.terminator(block) else {

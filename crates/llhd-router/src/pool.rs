@@ -12,12 +12,13 @@
 //! and forwarded verbatim).
 
 use llhd_server::json::Json;
+use llhd_server::lock_recover;
 use llhd_server::wire::LineReader;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// How long a reader thread blocks in `read` before re-checking whether
@@ -27,10 +28,6 @@ const READ_TICK: Duration = Duration::from_millis(100);
 /// How long a fresh connection attempt may take before the worker is
 /// treated as unreachable for this call.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(1000);
-
-fn plock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The reply channel of one in-flight pipelined request.
 type Waiter = mpsc::Sender<io::Result<Json>>;
@@ -84,7 +81,7 @@ impl Pipeline {
 
     /// Whether the connection has failed (callers should reconnect).
     pub fn is_dead(&self) -> bool {
-        plock(&self.shared).dead
+        lock_recover(&self.shared).dead
     }
 
     /// Send one request line and wait up to `timeout` for its (FIFO)
@@ -98,7 +95,7 @@ impl Pipeline {
     /// response line.
     pub fn call(&self, line: &str, timeout: Duration) -> io::Result<Json> {
         let rx = {
-            let mut shared = plock(&self.shared);
+            let mut shared = lock_recover(&self.shared);
             if shared.dead {
                 return Err(io::Error::new(
                     io::ErrorKind::BrokenPipe,
@@ -129,7 +126,7 @@ impl Pipeline {
 
 impl Drop for Pipeline {
     fn drop(&mut self) {
-        plock(&self.shared).fail_all("pipeline closed");
+        lock_recover(&self.shared).fail_all("pipeline closed");
     }
 }
 
@@ -139,7 +136,7 @@ fn reader_loop(reader: TcpStream, shared: &Arc<Mutex<PipeShared>>) {
     loop {
         match lines.next_line() {
             Ok(Some(line)) => {
-                let waiter = plock(shared).waiters.pop_front();
+                let waiter = lock_recover(shared).waiters.pop_front();
                 if let Some(waiter) = waiter {
                     let parsed = Json::parse(&line)
                         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
@@ -151,12 +148,12 @@ fn reader_loop(reader: TcpStream, shared: &Arc<Mutex<PipeShared>>) {
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if plock(shared).dead {
+                if lock_recover(shared).dead {
                     return;
                 }
             }
             Ok(None) | Err(_) => {
-                plock(shared).fail_all("worker closed the connection");
+                lock_recover(shared).fail_all("worker closed the connection");
                 return;
             }
         }
@@ -220,12 +217,12 @@ impl Worker {
 
     /// Current health.
     pub fn health(&self) -> Health {
-        *plock(&self.health)
+        *lock_recover(&self.health)
     }
 
     /// Set health, counting Up/Draining → Down transitions.
     pub fn set_health(&self, health: Health) {
-        let mut current = plock(&self.health);
+        let mut current = lock_recover(&self.health);
         if *current != Health::Down && health == Health::Down {
             self.markdowns.fetch_add(1, Ordering::Relaxed);
         }
@@ -236,7 +233,7 @@ impl Worker {
     /// down; a successful one brings it back). Draining is sticky: an
     /// operator's drain outlives a blip.
     pub fn mark_down(&self) {
-        let mut current = plock(&self.health);
+        let mut current = lock_recover(&self.health);
         if *current == Health::Up {
             self.markdowns.fetch_add(1, Ordering::Relaxed);
             *current = Health::Down;
@@ -245,7 +242,7 @@ impl Worker {
 
     /// Mark up after a successful ping — unless draining (operator wins).
     pub fn mark_up(&self) {
-        let mut current = plock(&self.health);
+        let mut current = lock_recover(&self.health);
         if *current == Health::Down {
             *current = Health::Up;
         }
@@ -253,12 +250,12 @@ impl Worker {
 
     /// The worker's self-reported `server_id`, if a ping has seen one.
     pub fn server_id(&self) -> Option<String> {
-        plock(&self.server_id).clone()
+        lock_recover(&self.server_id).clone()
     }
 
     /// Record the `server_id` from a ping/stats response.
     pub fn note_server_id(&self, id: &str) {
-        let mut slot = plock(&self.server_id);
+        let mut slot = lock_recover(&self.server_id);
         if slot.as_deref() != Some(id) {
             *slot = Some(id.to_string());
         }
@@ -271,7 +268,7 @@ impl Worker {
     ///
     /// Connection failures when the slot needs a fresh connection.
     fn pipeline(&self) -> io::Result<Arc<Pipeline>> {
-        let mut pipes = plock(&self.pipes);
+        let mut pipes = lock_recover(&self.pipes);
         let slot = self.next.fetch_add(1, Ordering::Relaxed) % pipes.len();
         if let Some(pipe) = &pipes[slot] {
             if !pipe.is_dead() {
@@ -334,6 +331,8 @@ impl Worker {
     /// Drop every pooled connection (used at router shutdown so worker
     /// processes see EOF promptly).
     pub fn disconnect(&self) {
-        plock(&self.pipes).iter_mut().for_each(|slot| *slot = None);
+        lock_recover(&self.pipes)
+            .iter_mut()
+            .for_each(|slot| *slot = None);
     }
 }

@@ -24,6 +24,7 @@
 use crate::pool::{Health, Worker};
 use crate::ring::{source_key, Ring};
 use llhd_server::json::Json;
+use llhd_server::lock_recover;
 use llhd_server::protocol::{
     error_response, ok_response, request_id, ErrorKind, ProtoError, Request, SimJobSpec,
 };
@@ -32,7 +33,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,10 +57,6 @@ const PING_TIMEOUT: Duration = Duration::from_secs(2);
 /// (placement falls back to the ring — correctness is unaffected, a few
 /// keyed requests may re-warm a second cache).
 const MEMO_CAP: usize = 65_536;
-
-fn plock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One worker in the router's configuration.
 #[derive(Clone, Debug)]
@@ -251,7 +248,7 @@ impl RouterState {
     /// tier in front of them, not their supervisor.
     pub fn begin_shutdown(&self) {
         self.shutdown_flag.store(true, Ordering::Relaxed);
-        let addr = *plock(&self.wake_addr);
+        let addr = *lock_recover(&self.wake_addr);
         if let Some(addr) = addr {
             let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
         }
@@ -305,7 +302,7 @@ impl RouterState {
     /// currently `Up` (down workers are skipped, which *is* the ring
     /// re-placement; draining workers take no new work).
     fn candidates(&self, key: u128) -> Vec<usize> {
-        let memo = plock(&self.memo).map.get(&key).copied();
+        let memo = lock_recover(&self.memo).map.get(&key).copied();
         let mut order = Vec::with_capacity(self.workers.len());
         if let Some(first) = memo {
             if self.workers[first].health() == Health::Up {
@@ -331,7 +328,7 @@ impl RouterState {
             return;
         };
         if let Ok(key) = u128::from_str_radix(text, 16) {
-            plock(&self.memo).learn(key, worker);
+            lock_recover(&self.memo).learn(key, worker);
         }
     }
 
@@ -934,7 +931,7 @@ impl Router {
     ///
     /// Propagates accept-loop I/O failures.
     pub fn serve_tcp(self, listener: TcpListener) -> io::Result<()> {
-        *plock(&self.state.wake_addr) = Some(listener.local_addr()?);
+        *lock_recover(&self.state.wake_addr) = Some(listener.local_addr()?);
         let health = self.spawn_health();
         let mut connections = Vec::new();
         for stream in listener.incoming() {

@@ -46,6 +46,9 @@ pub mod retry;
 pub mod server;
 pub mod wire;
 
+/// Re-exported so the router recovers poisoned locks exactly like the
+/// server, without depending on `llhd-sim` itself.
+pub use llhd_sim::api::lock_recover;
 pub use protocol::{ErrorKind, ProtoError, Request, SimJobSpec, TraceMode, PROTOCOL_VERSION};
 pub use server::{Client, RunningServer, Server, ServerConfig, ServerState};
 pub use wire::{LineReader, MAX_LINE_BYTES};

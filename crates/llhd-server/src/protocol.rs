@@ -56,11 +56,6 @@ pub struct SimJobSpec {
     /// moment the server received the request. The run is cut off with a
     /// `deadline_exceeded` error once the budget is used up.
     pub deadline_ms: Option<u64>,
-    /// How many threads may activate independent sensitivity islands
-    /// within each simulation instant (`None`/1: serial). Purely a
-    /// speed knob — traces and checkpoints are byte-identical at any
-    /// thread count.
-    pub threads: Option<usize>,
 }
 
 impl SimJobSpec {
@@ -81,9 +76,6 @@ impl SimJobSpec {
         }
         if let Some(n) = self.max_steps_per_activation {
             config.max_steps_per_activation = n;
-        }
-        if let Some(n) = self.threads {
-            config.threads = n.max(1);
         }
         config
     }
@@ -420,7 +412,7 @@ fn parse_job(obj: &Json) -> Result<SimJobSpec, ProtoError> {
         (None, Some(_)) => TraceMode::Vcd,
         (mode, _) => mode.unwrap_or(TraceMode::Off),
     };
-    Ok(SimJobSpec {
+    let job = SimJobSpec {
         source,
         design,
         top,
@@ -438,15 +430,15 @@ fn parse_job(obj: &Json) -> Result<SimJobSpec, ProtoError> {
         )?
         .map(|n| n as usize),
         deadline_ms: field_deadline(obj)?,
-        // Capped far above any plausible core count; the engine treats
-        // the value as an upper bound, not a reservation.
-        threads: field_uint(obj, "threads", MAX_THREADS)?.map(|n| n as usize),
-    })
+    };
+    // Accepted, range-checked, and ignored (see `MAX_THREADS`).
+    field_uint(obj, "threads", MAX_THREADS)?;
+    Ok(job)
 }
 
-/// The largest accepted `threads`: generous headroom over real machines
-/// while keeping absurd values (which would each try to spawn a scoped
-/// worker per instant) out of the engine.
+/// The largest accepted `threads`. The field is validated so protocol-v1
+/// clients that send it keep working, and then ignored: both engines run
+/// one serial activation loop.
 const MAX_THREADS: u128 = 64;
 
 /// The optional `"deadline_ms"` field (sim jobs and `session.step`).
@@ -1048,26 +1040,20 @@ mod tests {
 
     #[test]
     fn threads_parses_and_is_capped() {
-        // Absent: the engine default (serial) applies.
-        match parse(r#"{"type":"sim","source":"x","top":"p"}"#).unwrap() {
-            Request::Sim(job) => {
-                assert_eq!(job.threads, None);
-                assert_eq!(job.sim_config().threads, 1);
+        // In range (0–64): accepted and ignored — the job is the one
+        // parsed without the field.
+        let plain = match parse(r#"{"type":"sim","source":"x","top":"p"}"#).unwrap() {
+            Request::Sim(job) => job,
+            other => panic!("not a sim request: {:?}", other),
+        };
+        for n in [0, 1, 4, 64] {
+            let text = format!(r#"{{"type":"sim","source":"x","top":"p","threads":{n}}}"#);
+            match parse(&text).unwrap() {
+                Request::Sim(job) => {
+                    assert_eq!(format!("{job:?}"), format!("{plain:?}"), "threads {n}")
+                }
+                other => panic!("not a sim request: {:?}", other),
             }
-            other => panic!("not a sim request: {:?}", other),
-        }
-        match parse(r#"{"type":"sim","source":"x","top":"p","threads":4}"#).unwrap() {
-            Request::Sim(job) => {
-                assert_eq!(job.threads, Some(4));
-                assert_eq!(job.sim_config().threads, 4);
-            }
-            other => panic!("not a sim request: {:?}", other),
-        }
-        // Zero clamps to serial rather than erroring: "no parallelism"
-        // is a sensible reading, not a malformed request.
-        match parse(r#"{"type":"sim","source":"x","top":"p","threads":0}"#).unwrap() {
-            Request::Sim(job) => assert_eq!(job.sim_config().threads, 1),
-            other => panic!("not a sim request: {:?}", other),
         }
         for text in [
             r#"{"type":"sim","source":"x","top":"p","threads":65}"#,

@@ -48,7 +48,9 @@ use crate::wire::LineReader;
 use llhd::assembly::parse_module;
 use llhd::ir::Module;
 use llhd::value::ConstValue;
-use llhd_sim::api::{panic_message, BatchJob, DesignCache, EngineKind, EngineState, SimSession};
+use llhd_sim::api::{
+    lock_recover, panic_message, BatchJob, DesignCache, EngineKind, EngineState, SimSession,
+};
 use llhd_sim::design::{InstanceId, InstanceKind};
 use llhd_sim::{DesignQuery, RunControl, SimConfig, SimResult};
 use std::collections::HashMap;
@@ -56,18 +58,9 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Lock a server mutex, recovering from poison. Every server lock guards
-/// state that is updated in single non-panicking operations (map
-/// inserts/removes, vec pushes, flag stores), so a poisoned guard means
-/// some *other* holder panicked mid-request — the state itself is
-/// consistent and serving must continue.
-fn plock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The default `server_id` when none is configured: pid plus start time,
 /// so restarts of the same process slot (same pid reused, same `--tcp`
@@ -377,19 +370,19 @@ impl ServerState {
     /// drain the queue, and unblock the accept loop.
     pub fn begin_shutdown(&self) {
         {
-            let mut queue = plock(&self.queue);
+            let mut queue = lock_recover(&self.queue);
             queue.shutting_down = true;
             self.shutdown_flag.store(true, Ordering::Relaxed);
             self.queue_cv.notify_all();
         }
         // Start the drain clock: in-flight work gets this long to finish
         // before waiters are answered with a retryable `shutdown` error.
-        *plock(&self.drain_until) = Some(Instant::now() + self.drain_deadline);
+        *lock_recover(&self.drain_until) = Some(Instant::now() + self.drain_deadline);
         // Dropping the command senders ends every session thread after it
         // drains already-queued commands (those replies still arrive).
-        plock(&self.sessions).map.clear();
+        lock_recover(&self.sessions).map.clear();
         // Unblock the accept loop with one throwaway connection.
-        let addr = *plock(&self.wake_addr);
+        let addr = *lock_recover(&self.wake_addr);
         if let Some(addr) = addr {
             let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
         }
@@ -400,7 +393,7 @@ impl ServerState {
     /// begun — the refusal and the dispatcher's drain share the queue
     /// lock, so no job can slip into the gap and hang unanswered.
     fn submit(&self, jobs: Vec<PendingJob>) -> Result<(), ProtoError> {
-        let mut queue = plock(&self.queue);
+        let mut queue = lock_recover(&self.queue);
         if queue.shutting_down {
             return Err(ProtoError::new(
                 ErrorKind::Shutdown,
@@ -441,7 +434,7 @@ impl ServerState {
                 ProtoError::new(ErrorKind::Source, format!("invalid LLHD assembly: {}", e))
             })?);
             let key = DesignCache::fingerprint(&module);
-            plock(&self.registry).insert(key, Arc::clone(&module));
+            lock_recover(&self.registry).insert(key, Arc::clone(&module));
             return Ok((module, key));
         }
         let text = spec.design.as_deref().expect("parser requires source or design");
@@ -451,7 +444,7 @@ impl ServerState {
                 format!("\"design\" must be a hex key, got {:?}", text),
             )
         })?;
-        match plock(&self.registry).get(key) {
+        match lock_recover(&self.registry).get(key) {
             Some(module) => Ok((module, key)),
             None => Err(ProtoError::new(
                 ErrorKind::UnknownDesign,
@@ -517,7 +510,7 @@ impl ServerState {
                         if spec.source.is_some()
                             && matches!(e, llhd_sim::api::Error::Elaborate(_))
                         {
-                            plock(&self.registry).remove(key);
+                            lock_recover(&self.registry).remove(key);
                         }
                         Err(e.into())
                     }
@@ -545,7 +538,7 @@ impl ServerState {
                     ))
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some(until) = *plock(&self.drain_until) {
+                    if let Some(until) = *lock_recover(&self.drain_until) {
                         if Instant::now() >= until {
                             return Err(ProtoError::new(
                                 ErrorKind::Shutdown,
@@ -574,7 +567,7 @@ impl ServerState {
         let (module, key) = self.resolve_module(&spec)?;
         let (tx, rx) = mpsc::channel();
         let id = {
-            let mut sessions = plock(&self.sessions);
+            let mut sessions = lock_recover(&self.sessions);
             if sessions.map.len() >= self.session_cap {
                 return Err(ProtoError::new(
                     ErrorKind::SessionLimit,
@@ -620,7 +613,7 @@ impl ServerState {
                 ),
             )
         };
-        let tx = plock(&self.sessions).map.get(id).cloned().ok_or_else(unknown)?;
+        let tx = lock_recover(&self.sessions).map.get(id).cloned().ok_or_else(unknown)?;
         let (reply_tx, reply_rx) = mpsc::channel();
         // A send/recv failure means the session exited between the table
         // lookup and the command (idle timeout or destroy won the race).
@@ -658,15 +651,15 @@ impl ServerState {
                 false,
             ),
             Request::Stats => {
-                let resident = plock(&self.registry).modules.len();
+                let resident = lock_recover(&self.registry).modules.len();
                 let uptime = self.started.elapsed();
                 let requests = self.requests.load(Ordering::Relaxed);
                 let load = ServerLoad {
-                    queue_depth: plock(&self.queue).jobs.len(),
+                    queue_depth: lock_recover(&self.queue).jobs.len(),
                     queue_cap: self.queue_cap,
                     inflight: self.inflight.load(Ordering::Relaxed),
                     shed: self.shed.load(Ordering::Relaxed),
-                    open_sessions: plock(&self.sessions).map.len(),
+                    open_sessions: lock_recover(&self.sessions).map.len(),
                     panics_caught: self.panics_caught.load(Ordering::Relaxed),
                 };
                 (
@@ -839,7 +832,7 @@ fn dispatch_loop(state: Arc<ServerState>) {
     let mut batches: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let batch = {
-            let mut queue = plock(&state.queue);
+            let mut queue = lock_recover(&state.queue);
             loop {
                 if !queue.jobs.is_empty() {
                     break Some(std::mem::take(&mut queue.jobs));
@@ -867,7 +860,7 @@ fn dispatch_loop(state: Arc<ServerState>) {
     // dispatcher (and with it the server) exits — bounded by the drain
     // deadline, after which stuck batches are abandoned (their waiters
     // are answered with `shutdown` by `await_reply`'s own deadline).
-    let until = plock(&state.drain_until)
+    let until = lock_recover(&state.drain_until)
         .unwrap_or_else(|| Instant::now() + state.drain_deadline);
     while !batches.is_empty() && Instant::now() < until {
         batches.retain(|handle| !handle.is_finished());
@@ -919,7 +912,7 @@ fn session_thread(
     let mut session = match built {
         Ok(session) => session,
         Err(e) => {
-            plock(&state.sessions).map.remove(&id);
+            lock_recover(&state.sessions).map.remove(&id);
             let _ = ready.send(Err(e));
             return;
         }
@@ -999,7 +992,7 @@ fn session_thread(
             }
         }
     };
-    plock(&state.sessions).map.remove(&id);
+    lock_recover(&state.sessions).map.remove(&id);
     if let Some(reply) = destroy_reply {
         let kind = session.engine_kind();
         let outcome = session
@@ -1389,7 +1382,7 @@ impl Server {
     ///
     /// Propagates accept-loop I/O failures.
     pub fn serve_tcp(self, listener: TcpListener) -> io::Result<()> {
-        *plock(&self.state.wake_addr) = Some(listener.local_addr()?);
+        *lock_recover(&self.state.wake_addr) = Some(listener.local_addr()?);
         let dispatcher = self.spawn_dispatcher();
         let logger = self.spawn_stats_logger();
         let mut connections = Vec::new();

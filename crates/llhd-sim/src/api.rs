@@ -809,11 +809,12 @@ struct CacheEntry {
 /// One lockable cache slot per `(fingerprint, top)` key.
 type SharedCacheEntry = Arc<Mutex<CacheEntry>>;
 
-/// Lock a mutex, recovering from poison. Used for bookkeeping locks
-/// (the cache map, batch slots) whose guarded state is updated in
-/// single non-panicking assignments — a poisoned guard there means a
-/// *sibling* operation panicked, not that the state is torn.
-fn lock_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Lock a mutex, recovering from poison. For locks whose guarded state
+/// is updated in single non-panicking assignments (cache maps, batch
+/// slots, server and router bookkeeping) — a poisoned guard there means
+/// a *sibling* operation panicked, not that the state is torn. Shared by
+/// the serving crates so every such lock recovers the same way.
+pub fn lock_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -1417,16 +1418,6 @@ impl<'m> SessionBuilder<'m> {
     /// given suffixes.
     pub fn trace_filter(mut self, names: &[&str]) -> Self {
         self.config.trace_filter = Some(names.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
-    /// Activate independent sensitivity islands on up to `n` threads
-    /// within each instant (default 1: serial). Purely a speed knob —
-    /// traces are byte-identical at any thread count — and inert on
-    /// designs that do not partition into enough substantial islands
-    /// (see [`crate::IslandPlan`]).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.config.threads = n.max(1);
         self
     }
 

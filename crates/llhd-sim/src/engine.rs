@@ -18,7 +18,7 @@
 use crate::api::EngineState;
 use crate::design::{ElaborateError, ElaboratedDesign, InstanceKind, SignalId};
 use crate::islands::IslandPlan;
-use crate::sched::{read_byte, read_const, read_usize, run_instant_parallel, CoreSink, SchedCore};
+use crate::sched::{read_byte, read_const, read_usize, SchedCore};
 use crate::trace::Trace;
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::eval::eval_pure;
@@ -46,13 +46,6 @@ pub struct SimConfig {
     /// Cooperative run control: wall-clock deadline and instrumentation
     /// probe, checked between scheduler cycles.
     pub control: RunControl,
-    /// Worker threads for island-parallel instants (see
-    /// [`crate::islands`]). `1` (the default) keeps the serial loop;
-    /// larger values activate each sensitivity island's share of an
-    /// instant on its own scoped worker when the design partitions well
-    /// enough to pay for the handoff. Purely a speed knob: traces are
-    /// byte-identical at any thread count.
-    pub threads: usize,
 }
 
 impl Default for SimConfig {
@@ -64,7 +57,6 @@ impl Default for SimConfig {
             trace: true,
             trace_filter: None,
             control: RunControl::default(),
-            threads: 1,
         }
     }
 }
@@ -169,9 +161,10 @@ impl SimConfig {
         self
     }
 
-    /// Use up to `threads` workers for island-parallel instants.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// A no-op, returning the config unchanged: both engines run one
+    /// serial activation loop, so a simulation has no thread count. Kept
+    /// only because the benchmark package (`perfbench/`) still calls it.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -292,14 +285,12 @@ struct InstState {
     exec: usize,
 }
 
-/// An island must carry at least this many IR instructions before it
-/// counts towards parallelizing a design (see
-/// [`IslandPlan::parallel_worthy`]): below that, the per-instant worker
-/// handoff costs more than the island's activations are worth.
+/// The island weight, in IR instructions, that
+/// [`IslandPlan::parallel_worthy`] is asked about when reporting how
+/// much of a design could run concurrently. Analysis only: no engine
+/// acts on it. Kept because the benchmark package (`perfbench/`) reports
+/// that figure.
 pub const PARALLEL_MIN_ISLAND_OPS: usize = 16;
-/// An instant must wake at least this many instances before the engines
-/// try the parallel path (fewer can never fill two workers usefully).
-pub const PARALLEL_MIN_BATCH: usize = 4;
 
 /// The event-driven simulator.
 pub struct Simulator<'a> {
@@ -309,9 +300,6 @@ pub struct Simulator<'a> {
     core: SchedCore,
     execs: Vec<UnitExec>,
     states: Vec<InstState>,
-    assertions_checked: usize,
-    assertion_failures: usize,
-    activations: usize,
     scratch: Scratch,
     initialized: bool,
     /// A failure during initialization or a step poisons the simulator:
@@ -320,16 +308,10 @@ pub struct Simulator<'a> {
     /// `initialize`/`step`.
     poisoned: Option<SimError>,
     to_run_buf: Vec<u32>,
-    /// The sensitivity-island partition, computed at construction (a
-    /// linear scan). Its digest goes into every checkpoint; its
-    /// assignment feeds the parallel instant loop.
-    plan: IslandPlan,
-    /// Static go/no-go for the parallel path: enough worthwhile islands
-    /// and a thread budget above one.
-    parallel_ready: bool,
-    /// Set when restoring a version-1 checkpoint (no island digest): the
-    /// restored run stays on the serial loop.
-    force_serial: bool,
+    /// The digest of the design's sensitivity-island partition (see
+    /// [`IslandPlan::hash`]), written into and checked against every
+    /// checkpoint.
+    plan_hash: u64,
 }
 
 /// Immutable per-activation context: everything an activation reads that
@@ -341,10 +323,7 @@ struct ExecCx<'m> {
     max_steps: usize,
 }
 
-/// Mutable per-worker scratch: the wait-list buffer and the statistics
-/// counters an activation bumps. Parallel instants give each worker its
-/// own and fold the counters afterwards — plain sums, so the fold order
-/// cannot matter and the totals match a serial run exactly.
+/// The wait-list buffer and the run counters an activation bumps.
 #[derive(Default)]
 struct Scratch {
     observed: Vec<SignalId>,
@@ -411,8 +390,7 @@ impl<'a> Simulator<'a> {
                 exec,
             });
         }
-        let plan = IslandPlan::build(module, &design);
-        let parallel_ready = config.threads > 1 && plan.parallel_worthy(PARALLEL_MIN_ISLAND_OPS);
+        let plan_hash = IslandPlan::build(module, &design).hash();
         Simulator {
             module,
             design,
@@ -420,16 +398,11 @@ impl<'a> Simulator<'a> {
             core,
             execs,
             states,
-            assertions_checked: 0,
-            assertion_failures: 0,
-            activations: 0,
             scratch: Scratch::default(),
             initialized: false,
             poisoned: None,
             to_run_buf: Vec::new(),
-            plan,
-            parallel_ready,
-            force_serial: false,
+            plan_hash,
         }
     }
 
@@ -448,93 +421,32 @@ impl<'a> Simulator<'a> {
             };
         }
         self.initialized = true;
-        let mut result = Ok(());
-        {
-            let cx = ExecCx {
-                module: self.module,
-                design: &self.design,
-                execs: &self.execs,
-                max_steps: self.config.max_steps_per_activation,
-            };
-            for idx in 0..cx.design.instances.len() {
-                if let Err(e) = activate_inst(
-                    &cx,
-                    &mut self.states[idx],
-                    &mut self.scratch,
-                    idx,
-                    &mut self.core,
-                ) {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        self.fold_scratch();
+        let result = self.run_activations(0..self.design.instances.len() as u32);
         if let Err(e) = &result {
             self.poisoned = Some(e.clone());
         }
         result
     }
 
-    /// Fold the per-step [`Scratch`] counters into the run totals. Called
-    /// on every exit path of `initialize`/`step` (including errors) so
-    /// the totals stay exact.
-    fn fold_scratch(&mut self) {
-        self.activations += self.scratch.activations;
-        self.assertions_checked += self.scratch.assertions_checked;
-        self.assertion_failures += self.scratch.assertion_failures;
-        self.scratch.activations = 0;
-        self.scratch.assertions_checked = 0;
-        self.scratch.assertion_failures = 0;
-    }
-
-    /// Activate one instant's woken instances: the serial loop, or — when
-    /// the design partitions into islands and the batch is large enough —
-    /// the island-parallel loop. Both produce byte-identical core state
-    /// (see [`crate::sched::run_instant_parallel`]).
-    fn run_activations(&mut self, to_run: &[u32]) -> Result<(), SimError> {
+    /// Activate `insts` in order, stopping at the first error.
+    fn run_activations(&mut self, insts: impl IntoIterator<Item = u32>) -> Result<(), SimError> {
         let cx = ExecCx {
             module: self.module,
             design: &self.design,
             execs: &self.execs,
             max_steps: self.config.max_steps_per_activation,
         };
-        if self.parallel_ready && !self.force_serial && to_run.len() >= PARALLEL_MIN_BATCH {
-            let parallel = run_instant_parallel(
-                &mut self.core,
-                to_run,
-                &mut self.states,
-                self.plan.island_of_instances(),
-                self.config.threads,
-                Scratch::default,
-                |st, scr, inst, sink| activate_inst(&cx, st, scr, inst as usize, sink),
-            );
-            if let Some(outcome) = parallel {
-                for scr in outcome.scratches {
-                    self.scratch.activations += scr.activations;
-                    self.scratch.assertions_checked += scr.assertions_checked;
-                    self.scratch.assertion_failures += scr.assertion_failures;
-                }
-                self.fold_scratch();
-                return outcome.result;
-            }
-        }
-        let mut result = Ok(());
-        for &inst in to_run {
+        for inst in insts {
             let idx = inst as usize;
-            if let Err(e) = activate_inst(
+            activate_inst(
                 &cx,
                 &mut self.states[idx],
                 &mut self.scratch,
                 idx,
                 &mut self.core,
-            ) {
-                result = Err(e);
-                break;
-            }
+            )?;
         }
-        self.fold_scratch();
-        result
+        Ok(())
     }
 
     /// Advance the simulation by exactly one scheduler cycle (one instant:
@@ -560,7 +472,7 @@ impl<'a> Simulator<'a> {
         if let Ok(true) = outcome {
             // `to_run` is detached from `self` here, so iterating it while
             // activating instances borrows cleanly.
-            if let Err(e) = self.run_activations(&to_run) {
+            if let Err(e) = self.run_activations(to_run.iter().copied()) {
                 outcome = Err(e);
             }
         }
@@ -589,10 +501,10 @@ impl<'a> Simulator<'a> {
         SimResult {
             end_time: self.core.time(),
             signal_changes: self.core.signal_changes(),
-            assertions_checked: self.assertions_checked,
-            assertion_failures: self.assertion_failures,
+            assertions_checked: self.scratch.assertions_checked,
+            assertion_failures: self.scratch.assertion_failures,
             halted_processes,
-            activations: self.activations,
+            activations: self.scratch.activations,
             trace: self.core.take_trace(),
         }
     }
@@ -663,13 +575,13 @@ impl<'a> Simulator<'a> {
             "interp",
             self.design.num_signals(),
             self.design.num_instances(),
-            self.plan.hash(),
+            self.plan_hash,
             |out| {
                 self.core.snapshot(out);
                 out.push(self.initialized as u8);
-                write_varint(out, self.assertions_checked as u128);
-                write_varint(out, self.assertion_failures as u128);
-                write_varint(out, self.activations as u128);
+                write_varint(out, self.scratch.assertions_checked as u128);
+                write_varint(out, self.scratch.assertion_failures as u128);
+                write_varint(out, self.scratch.activations as u128);
                 for st in &self.states {
                     match &st.status {
                         ProcStatus::Ready => out.push(0),
@@ -725,27 +637,22 @@ impl<'a> Simulator<'a> {
             self.design.num_signals(),
             self.design.num_instances(),
         )?;
-        match plan_hash {
-            // Version-1 checkpoints predate island partitioning: they
-            // restore fine, but the engine stays serial for the rest of
-            // its life so cross-version runs replay the proven path.
-            None => self.force_serial = true,
-            Some(h) if h != self.plan.hash() => {
-                return Err(SimError::Runtime(
-                    "engine checkpoint was taken with a different island plan \
-                     (design or partitioner version mismatch)"
-                        .to_string(),
-                ));
-            }
-            Some(_) => {}
+        // Version-1 checkpoints predate island partitioning and carry no
+        // digest; they restore as-is.
+        if plan_hash.is_some_and(|h| h != self.plan_hash) {
+            return Err(SimError::Runtime(
+                "engine checkpoint was taken with a different island plan \
+                 (design or partitioner version mismatch)"
+                    .to_string(),
+            ));
         }
         let pos = &mut pos;
         self.core.restore_snapshot(bytes, pos)?;
         self.initialized = read_byte(bytes, pos)? != 0;
         self.poisoned = None;
-        self.assertions_checked = read_usize(bytes, pos)?;
-        self.assertion_failures = read_usize(bytes, pos)?;
-        self.activations = read_usize(bytes, pos)?;
+        self.scratch.assertions_checked = read_usize(bytes, pos)?;
+        self.scratch.assertion_failures = read_usize(bytes, pos)?;
+        self.scratch.activations = read_usize(bytes, pos)?;
         let module = self.module;
         for idx in 0..self.states.len() {
             let status = match read_byte(bytes, pos)? {
@@ -833,37 +740,31 @@ impl<'a> Simulator<'a> {
 // Activation execution
 // ---------------------------------------------------------------------------
 //
-// The execution core is a set of free functions generic over
-// [`CoreSink`]: the serial loop instantiates them with the
-// [`SchedCore`] itself (direct mutation, same code the old methods
-// compiled to), the island-parallel loop with a
-// [`DeferredSink`](crate::sched::DeferredSink) (mutations logged and
-// replayed in serial order on the main thread). An activation touches
-// exactly three things: the immutable [`ExecCx`], its own instance's
-// [`InstState`], and a per-worker [`Scratch`] — which is what makes
-// handing each island's activations to a worker thread sound.
+// The execution core is a set of free functions over split borrows of
+// the simulator: the immutable [`ExecCx`], the activated instance's
+// [`InstState`], the [`Scratch`] counters, and the [`SchedCore`].
 
 /// Activate one instance: resume a process or evaluate an entity.
-fn activate_inst<S: CoreSink>(
+fn activate_inst(
     cx: &ExecCx,
     st: &mut InstState,
     scr: &mut Scratch,
     idx: usize,
-    sink: &mut S,
+    core: &mut SchedCore,
 ) -> Result<(), SimError> {
     match cx.design.instances[idx].kind {
-        InstanceKind::Process => run_process(cx, st, scr, idx, sink),
-        InstanceKind::Entity => eval_entity(cx, st, scr, idx, sink),
+        InstanceKind::Process => run_process(cx, st, scr, idx, core),
+        InstanceKind::Entity => eval_entity(cx, st, scr, idx, core),
     }
 }
 
 // ----- dense state access ----------------------------------------------
 
 /// Look up the runtime value of an SSA value within an instance.
-fn value_of<S: CoreSink>(
+fn value_of(
     cx: &ExecCx,
     st: &InstState,
-    sink: &S,
+    core: &SchedCore,
     idx: usize,
     unit: &UnitData,
     value: Value,
@@ -878,7 +779,7 @@ fn value_of<S: CoreSink>(
     // Signal-typed arguments read their current value when used as data.
     let sig = st.sig_of[i];
     if sig != NO_SIGNAL {
-        return Ok(sink.value(sig).clone());
+        return Ok(core.value(sig).clone());
     }
     Err(SimError::Runtime(format!(
         "use of a value before definition ({:?} in {})",
@@ -904,16 +805,16 @@ fn signal_of(cx: &ExecCx, st: &InstState, idx: usize, value: Value) -> Result<Si
     }
 }
 
-fn time_value<S: CoreSink>(
+fn time_value(
     cx: &ExecCx,
     st: &InstState,
-    sink: &S,
+    core: &SchedCore,
     idx: usize,
     unit: &UnitData,
     value: Value,
     what: &str,
 ) -> Result<TimeValue, SimError> {
-    value_of(cx, st, sink, idx, unit, value)?
+    value_of(cx, st, core, idx, unit, value)?
         .as_time()
         .copied()
         .ok_or_else(|| SimError::Runtime(format!("{} is not a time value", what)))
@@ -921,12 +822,12 @@ fn time_value<S: CoreSink>(
 
 // ----- process execution ------------------------------------------------
 
-fn run_process<S: CoreSink>(
+fn run_process(
     cx: &ExecCx,
     st: &mut InstState,
     scr: &mut Scratch,
     idx: usize,
-    sink: &mut S,
+    core: &mut SchedCore,
 ) -> Result<(), SimError> {
     scr.activations += 1;
     let unit = cx.module.unit(cx.design.instances[idx].unit);
@@ -967,13 +868,13 @@ fn run_process<S: CoreSink>(
                         }
                     }
                     let timeout = match time_arg {
-                        Some(arg) => Some(time_value(cx, st, sink, idx, unit, arg, "wait delay")?),
+                        Some(arg) => Some(time_value(cx, st, core, idx, unit, arg, "wait delay")?),
                         None => None,
                     };
                     st.status = ProcStatus::Suspended {
                         resume: data.blocks[0],
                     };
-                    sink.suspend(idx, &scr.observed, timeout.as_ref());
+                    core.suspend(idx, &scr.observed, timeout.as_ref());
                     return Ok(());
                 }
                 Opcode::Halt => {
@@ -985,7 +886,7 @@ fn run_process<S: CoreSink>(
                     break;
                 }
                 Opcode::BrCond => {
-                    let cond = value_of(cx, st, sink, idx, unit, data.args[0])?;
+                    let cond = value_of(cx, st, core, idx, unit, data.args[0])?;
                     let target = if cond.is_truthy() {
                         data.blocks[1]
                     } else {
@@ -1000,7 +901,7 @@ fn run_process<S: CoreSink>(
                     ));
                 }
                 _ => {
-                    execute_simple_inst(cx, st, scr, idx, unit, inst, data, sink)?;
+                    execute_simple_inst(cx, st, scr, idx, unit, inst, data, core)?;
                 }
             }
         }
@@ -1022,7 +923,7 @@ fn run_process<S: CoreSink>(
 
 /// Execute a non-control-flow instruction within a process activation.
 #[allow(clippy::too_many_arguments)]
-fn execute_simple_inst<S: CoreSink>(
+fn execute_simple_inst(
     cx: &ExecCx,
     st: &mut InstState,
     scr: &mut Scratch,
@@ -1030,7 +931,7 @@ fn execute_simple_inst<S: CoreSink>(
     unit: &UnitData,
     inst: llhd::ir::Inst,
     data: &InstData,
-    sink: &mut S,
+    core: &mut SchedCore,
 ) -> Result<(), SimError> {
     match data.opcode {
         Opcode::Const => {
@@ -1039,24 +940,24 @@ fn execute_simple_inst<S: CoreSink>(
         }
         Opcode::Prb => {
             let signal = signal_of(cx, st, idx, data.args[0])?;
-            let value = sink.value(signal).clone();
+            let value = core.value(signal).clone();
             let result = unit.inst_result(inst);
             set_value(st, result, value);
         }
         Opcode::Drv | Opcode::DrvCond => {
             if data.opcode == Opcode::DrvCond {
-                let cond = value_of(cx, st, sink, idx, unit, data.args[3])?;
+                let cond = value_of(cx, st, core, idx, unit, data.args[3])?;
                 if !cond.is_truthy() {
                     return Ok(());
                 }
             }
             let signal = signal_of(cx, st, idx, data.args[0])?;
-            let value = value_of(cx, st, sink, idx, unit, data.args[1])?;
-            let delay = time_value(cx, st, sink, idx, unit, data.args[2], "drive delay")?;
-            sink.schedule_drive(signal, value, &delay);
+            let value = value_of(cx, st, core, idx, unit, data.args[1])?;
+            let delay = time_value(cx, st, core, idx, unit, data.args[2], "drive delay")?;
+            core.schedule_drive(signal, value, &delay);
         }
         Opcode::Var | Opcode::Halloc => {
-            let init = value_of(cx, st, sink, idx, unit, data.args[0])?;
+            let init = value_of(cx, st, core, idx, unit, data.args[0])?;
             let result = unit.inst_result(inst);
             st.mem[result.index()] = init;
             st.mem_stamps[result.index()] = st.epoch;
@@ -1073,7 +974,7 @@ fn execute_simple_inst<S: CoreSink>(
             set_value(st, result, value);
         }
         Opcode::St => {
-            let value = value_of(cx, st, sink, idx, unit, data.args[1])?;
+            let value = value_of(cx, st, core, idx, unit, data.args[1])?;
             st.mem[data.args[0].index()] = value;
             st.mem_stamps[data.args[0].index()] = st.epoch;
         }
@@ -1083,7 +984,7 @@ fn execute_simple_inst<S: CoreSink>(
         Opcode::Call => {
             let mut args = Vec::with_capacity(data.args.len());
             for &a in &data.args {
-                args.push(value_of(cx, st, sink, idx, unit, a)?);
+                args.push(value_of(cx, st, core, idx, unit, a)?);
             }
             let result = call(cx, scr, unit, data, &args)?;
             if let (Some(result_value), Some(value)) = (unit.get_inst_result(inst), result) {
@@ -1093,7 +994,7 @@ fn execute_simple_inst<S: CoreSink>(
         op if op.is_pure() => {
             let mut args = Vec::with_capacity(data.args.len());
             for &a in &data.args {
-                args.push(value_of(cx, st, sink, idx, unit, a)?);
+                args.push(value_of(cx, st, core, idx, unit, a)?);
             }
             let value = eval_pure(op, &args, &data.imms)
                 .ok_or_else(|| SimError::Runtime(format!("cannot evaluate instruction {}", op)))?;
@@ -1274,12 +1175,12 @@ fn call_function(
 
 // ----- entity evaluation --------------------------------------------------
 
-fn eval_entity<S: CoreSink>(
+fn eval_entity(
     cx: &ExecCx,
     st: &mut InstState,
     scr: &mut Scratch,
     idx: usize,
-    sink: &mut S,
+    core: &mut SchedCore,
 ) -> Result<(), SimError> {
     scr.activations += 1;
     let unit = cx.module.unit(cx.design.instances[idx].unit);
@@ -1307,33 +1208,33 @@ fn eval_entity<S: CoreSink>(
             }
             Opcode::Prb => {
                 let signal = signal_of(cx, st, idx, data.args[0])?;
-                let value = sink.value(signal).clone();
+                let value = core.value(signal).clone();
                 set_value(st, unit.inst_result(inst), value);
             }
             Opcode::Drv | Opcode::DrvCond => {
                 if data.opcode == Opcode::DrvCond {
-                    let cond = value_of(cx, st, sink, idx, unit, data.args[3])?;
+                    let cond = value_of(cx, st, core, idx, unit, data.args[3])?;
                     if !cond.is_truthy() {
                         continue;
                     }
                 }
                 let signal = signal_of(cx, st, idx, data.args[0])?;
-                let value = value_of(cx, st, sink, idx, unit, data.args[1])?;
-                let delay = time_value(cx, st, sink, idx, unit, data.args[2], "drive delay")?;
-                sink.schedule_drive(signal, value, &delay);
+                let value = value_of(cx, st, core, idx, unit, data.args[1])?;
+                let delay = time_value(cx, st, core, idx, unit, data.args[2], "drive delay")?;
+                core.schedule_drive(signal, value, &delay);
             }
             Opcode::Del => {
                 let source = signal_of(cx, st, idx, data.args[0])?;
                 let target = signal_of(cx, st, idx, unit.inst_result(inst))?;
-                let delay = time_value(cx, st, sink, idx, unit, data.args[1], "del delay")?;
-                let value = sink.value(source).clone();
-                sink.schedule_drive(target, value, &delay);
+                let delay = time_value(cx, st, core, idx, unit, data.args[1], "del delay")?;
+                let value = core.value(source).clone();
+                core.schedule_drive(target, value, &delay);
             }
             Opcode::Reg => {
                 let signal = signal_of(cx, st, idx, data.args[0])?;
                 let base = cx.execs[st.exec].reg_base[inst.index()] as usize;
                 for (trigger_index, trigger) in data.triggers.iter().enumerate() {
-                    let current = value_of(cx, st, sink, idx, unit, trigger.trigger)?;
+                    let current = value_of(cx, st, core, idx, unit, trigger.trigger)?;
                     let previous = st.reg_prev[base + trigger_index].take();
                     let fire = match trigger.mode {
                         RegMode::High => current.is_truthy(),
@@ -1355,18 +1256,18 @@ fn eval_entity<S: CoreSink>(
                         continue;
                     }
                     if let Some(gate) = trigger.gate {
-                        if !value_of(cx, st, sink, idx, unit, gate)?.is_truthy() {
+                        if !value_of(cx, st, core, idx, unit, gate)?.is_truthy() {
                             continue;
                         }
                     }
-                    let value = value_of(cx, st, sink, idx, unit, trigger.value)?;
-                    sink.schedule_drive(signal, value, &TimeValue::from_delta(1));
+                    let value = value_of(cx, st, core, idx, unit, trigger.value)?;
+                    core.schedule_drive(signal, value, &TimeValue::from_delta(1));
                 }
             }
             Opcode::Call => {
                 let mut args = Vec::with_capacity(data.args.len());
                 for &a in &data.args {
-                    args.push(value_of(cx, st, sink, idx, unit, a)?);
+                    args.push(value_of(cx, st, core, idx, unit, a)?);
                 }
                 let result = call(cx, scr, unit, data, &args)?;
                 if let (Some(result_value), Some(value)) = (unit.get_inst_result(inst), result) {
@@ -1376,7 +1277,7 @@ fn eval_entity<S: CoreSink>(
             op if op.is_pure() => {
                 let mut args = Vec::with_capacity(data.args.len());
                 for &a in &data.args {
-                    args.push(value_of(cx, st, sink, idx, unit, a)?);
+                    args.push(value_of(cx, st, core, idx, unit, a)?);
                 }
                 let value = eval_pure(op, &args, &data.imms)
                     .ok_or_else(|| SimError::Runtime(format!("cannot evaluate instruction {}", op)))?;

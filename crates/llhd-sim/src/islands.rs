@@ -5,10 +5,13 @@
 //! other observes — it drives a signal the other is sensitive to (entity
 //! sensitivity or a process `wait`), or they drive the same signal (their
 //! drives must merge last-writer-wins in one queue bucket). Instances in
-//! different islands never wake each other within an instant, which is
-//! what makes islands the unit of intra-simulation parallelism: the
-//! engines activate each island's share of an instant on its own worker
-//! thread (see [`run_instant_parallel`](crate::sched::run_instant_parallel)).
+//! different islands never wake each other within an instant.
+//!
+//! The partition is an analysis only. It answers
+//! [`DesignQuery::islands`](crate::query::DesignQuery::islands), checks
+//! the scaled design generators, and its digest goes into every
+//! checkpoint. No engine runs islands concurrently: each engine has one
+//! serial activation loop.
 //!
 //! The edges are exactly the scan [`DesignQuery`](crate::query::DesignQuery)
 //! performs, with one deliberate exception: a **process probe** (`prb`
@@ -16,7 +19,7 @@
 //! merge islands. Reads are safe across islands because signal values are
 //! frozen during an instant's activation phase — drives apply only at the
 //! next `next_cycle` — so a cross-island read observes the same value
-//! serially and in parallel. Signals read across island lines this way
+//! whatever order the islands run in. Signals read across island lines this way
 //! are reported as [`IslandPlan::boundary_signals`], the seams a client
 //! inspecting the partition cares about. (Entity probes *do* merge: an
 //! entity re-runs whenever a probed signal changes, so its probes are
@@ -48,8 +51,7 @@ pub struct IslandInfo {
 ///
 /// Built by [`IslandPlan::build`] as a union-find over the same static
 /// scan that powers [`DesignQuery`](crate::query::DesignQuery); exposed
-/// through that query type and consumed by both engines' parallel
-/// instant loops.
+/// through that query type, and digested into both engines' checkpoints.
 #[derive(Clone, Debug, Default)]
 pub struct IslandPlan {
     /// Island id per instance, by `InstanceId.0`.
@@ -265,13 +267,6 @@ impl IslandPlan {
         &self.islands
     }
 
-    /// The island id of every instance, by `InstanceId.0` — the worker
-    /// assignment the engines feed to
-    /// [`run_instant_parallel`](crate::sched::run_instant_parallel).
-    pub fn island_of_instances(&self) -> &[u32] {
-        &self.island_of_instance
-    }
-
     /// The island id of `instance`.
     pub fn instance_island(&self, instance: InstanceId) -> u32 {
         self.island_of_instance[instance.0]
@@ -299,10 +294,10 @@ impl IslandPlan {
         self.hash
     }
 
-    /// Whether the partition justifies parallel instants: at least two
-    /// islands each carry `min_ops` worth of unit body. Below that, the
-    /// per-instant worker handoff costs more than it buys and the
-    /// engines stay on their serial loop.
+    /// Whether at least two islands each carry `min_ops` worth of unit
+    /// body: the partition's *potential* for concurrency. An analysis
+    /// figure only — no engine acts on it. Kept public because the
+    /// benchmark package (`perfbench/`) reports it.
     pub fn parallel_worthy(&self, min_ops: usize) -> bool {
         self.islands.iter().filter(|i| i.ops >= min_ops).count() >= 2
     }
@@ -376,7 +371,7 @@ mod tests {
         assert_eq!(plan.signal_island(led1), blink1);
         // Deterministic numbering by first appearance.
         let plan2 = IslandPlan::build(&module, &design);
-        assert_eq!(plan.island_of_instances(), plan2.island_of_instances());
+        assert_eq!(format!("{plan:?}"), format!("{plan2:?}"));
         assert_eq!(plan.hash(), plan2.hash());
     }
 

@@ -11,7 +11,7 @@ use crate::CompileError;
 use llhd::ir::{Module, Signature, UnitBuilder, UnitData, UnitKind, UnitName, Value};
 use llhd::ty::{int_ty, signal_ty};
 use llhd::value::{ConstValue, TimeValue};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Compile a parsed source file into an LLHD module.
 ///
@@ -337,7 +337,7 @@ fn gen_always_comb(
         }
         // Blocking semantics: fold the statements into final values per
         // written net, then drive them.
-        let mut values: HashMap<String, Value> = writes
+        let mut values: BTreeMap<String, Value> = writes
             .iter()
             .map(|n| (n.clone(), env[n].0))
             .collect();
@@ -497,11 +497,13 @@ fn gen_conditional_drives(
 }
 
 /// Fold blocking assignments into per-net values (combinational semantics).
+/// `values` is ordered by net name so the if/else merge below emits its
+/// muxes in the same order on every run.
 fn fold_blocking(
     b: &mut UnitBuilder,
     env: &HashMap<String, (Value, usize)>,
     body: &[Stmt],
-    values: &mut HashMap<String, Value>,
+    values: &mut BTreeMap<String, Value>,
     max_delay: &mut u128,
 ) -> Result<(), CompileError> {
     for stmt in body {
@@ -547,7 +549,7 @@ fn fold_blocking(
                 let mut else_values = values.clone();
                 fold_blocking(b, env, then_body, &mut then_values, max_delay)?;
                 fold_blocking(b, env, else_body, &mut else_values, max_delay)?;
-                // Merge with a mux per net that differs.
+                // Merge with a mux per net that differs, in name order.
                 for (name, then_value) in &then_values {
                     let else_value = else_values[name];
                     if *then_value != else_value {

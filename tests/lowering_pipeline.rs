@@ -75,3 +75,42 @@ fn every_design_lowering_is_sound() {
         );
     }
 }
+
+/// Building a design, and lowering it, must produce the same module text
+/// every time. Each `HashMap` draws fresh hash keys, so a pass or the
+/// frontend that emits instructions in hash-iteration order yields a
+/// different text on most repetitions — even within one process. Every
+/// Table 2 design plus the accumulator is built and lowered several
+/// times and the texts compared byte for byte.
+#[test]
+fn building_and_lowering_emit_identical_text_on_every_run() {
+    use llhd::assembly::write_module;
+
+    let texts = |module: Module| {
+        let built = write_module(&module);
+        let mut lowered = module;
+        lower_to_structural(&mut lowered, &LoweringOptions::default());
+        (built, write_module(&lowered))
+    };
+    // Index `designs.len()` stands for the accumulator.
+    let designs = llhd_designs::all_designs();
+    let build = |i: usize| match designs.get(i) {
+        Some(design) => design.build().unwrap(),
+        None => llhd_designs::accumulator_example().unwrap(),
+    };
+    for i in 0..=designs.len() {
+        let name = designs.get(i).map_or("accumulator", |d| d.name);
+        let (built, lowered) = texts(build(i));
+        for run in 1..6 {
+            let (again_built, again_lowered) = texts(build(i));
+            assert_eq!(
+                built, again_built,
+                "{name}: built text differs on run {run}"
+            );
+            assert_eq!(
+                lowered, again_lowered,
+                "{name}: lowered text differs on run {run}"
+            );
+        }
+    }
+}
